@@ -34,6 +34,7 @@
 #include "phisim/autotune.hpp"
 #include "phisim/replay.hpp"
 #include "rsa/batch_engine.hpp"
+#include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "service/sign_service.hpp"
 #include "ssl/tuned_config.hpp"
@@ -150,10 +151,13 @@ int main(int argc, char** argv) {
   const std::size_t requests = smoke ? 96 : 320;
   const rsa::PrivateKey& key = rsa::test_key(bits);
 
-  // Capacity calibration, exactly the bench_sign_service probe: the batch
-  // cost it measures is both the rate scale for the cells and the
-  // ReplayCost the model runs against.
-  const rsa::BatchEngine cal(key);
+  // Capacity calibration, the bench_sign_service probe on the live cells'
+  // backend: the batch cost it measures is both the rate scale for the
+  // cells and, with the scalar-op cost, the ReplayCost the model runs
+  // against.
+  const rsa::BatchEngine cal(key, service::SignServiceConfig{}.backend);
+  const rsa::Engine cal_scalar(
+      key, rsa::EngineOptions{.kernel = rsa::kernel_for(cal.backend())});
   util::Rng rng(7);
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> xs;
   for (auto& x : xs) x = bigint::BigInt::random_below(key.pub.n, rng);
@@ -162,18 +166,24 @@ int main(int argc, char** argv) {
       bench::time_op_ms([&] { (void)cal.private_op(xs); }, 3, 0.2, 50,
                         &cal_capped)
           .median;
+  const double t_scalar_ms =
+      bench::time_op_ms([&] { (void)cal_scalar.private_op(xs[0]); }, 3, 0.2,
+                        50, &cal_capped)
+          .median;
   const double capacity_rps =
       static_cast<double>(rsa::BatchEngine::kBatch) / (t_batch_ms * 1e-3);
   const phisim::ReplayCost cost =
-      phisim::ReplayCost::from_measured(t_batch_ms * 1e3);
+      phisim::ReplayCost::from_measured(t_batch_ms * 1e3, t_scalar_ms * 1e3);
   std::printf("\nRSA-%zu: full 16-lane batch = %.2f ms -> capacity %.0f "
               "signs/s; replay batch cost %.0f us%s\n",
               bits, t_batch_ms, capacity_rps, cost.batch_us,
               cal_capped ? " (rep-capped calibration)" : "");
   json.add_row("calibration", std::to_string(bits),
                {{"t_batch_ms", t_batch_ms},
+                {"t_scalar_ms", t_scalar_ms},
                 {"capacity_rps", capacity_rps},
-                {"batch_us", cost.batch_us}});
+                {"batch_us", cost.batch_us},
+                {"scalar_us", cost.scalar_us}});
 
   // --- 1. model fidelity: live cell vs replay of its own trace -----------
   struct Cell {

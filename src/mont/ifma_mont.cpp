@@ -30,12 +30,15 @@ IfmaMontCtx::Workspace& tls_workspace() {
   return ws;
 }
 
-bool env_forces_portable() {
-  const char* v = std::getenv("PHISSL_FORCE_BACKEND");
-  return v != nullptr && std::strcmp(v, "ifma52-portable") == 0;
-}
-
 }  // namespace
+
+bool env_forces_portable() {
+  static const bool forced = [] {
+    const char* v = std::getenv("PHISSL_FORCE_BACKEND");
+    return v != nullptr && std::strcmp(v, "ifma52-portable") == 0;
+  }();
+  return forced;
+}
 
 IfmaMontCtx::IfmaMontCtx(const bigint::BigInt& m, bool force_portable)
     : m_(m) {

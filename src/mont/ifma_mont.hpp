@@ -30,6 +30,12 @@
 
 namespace phissl::mont {
 
+/// True iff PHISSL_FORCE_BACKEND=ifma52-portable pins every radix-52
+/// context, single (IfmaMontCtx) and batched (BatchIfmaMontCtx), to the
+/// portable u128 path. Read once per process: the override is an A/B
+/// switch, and contexts are built per key and per service shard.
+bool env_forces_portable();
+
 class IfmaMontCtx {
  public:
   /// Montgomery residue: little-endian 52-bit digits in 64-bit words,

@@ -6,6 +6,8 @@
 #include <queue>
 #include <vector>
 
+#include "service/flush_rule.hpp"
+
 namespace phissl::phisim {
 
 ReplayCost ReplayCost::from_offload_model(const OffloadModel& model,
@@ -20,15 +22,16 @@ ReplayCost ReplayCost::from_offload_model(const OffloadModel& model,
   return c;
 }
 
-ReplayCost ReplayCost::from_measured(double batch_us) {
+ReplayCost ReplayCost::from_measured(double batch_us, double scalar_us) {
   ReplayCost c;
   c.batch_us = batch_us;
+  c.scalar_us = scalar_us;
   return c;
 }
 
 namespace {
 
-/// One dispatched batch's completion, for the event-frontend resume stage.
+/// One dispatch's completion, for the event-frontend resume stage.
 struct Completion {
   double at_us;
   std::size_t lanes;
@@ -41,6 +44,8 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
   const std::size_t threshold =
       std::clamp<std::size_t>(cfg.max_batch_lanes, 1, 16);
   const std::size_t slots = std::max<std::size_t>(cfg.dispatch_slots, 1);
+  const std::size_t min_lanes =
+      service::batch_min_lanes_for(cost.batch_us, cost.scalar_us);
   const double linger_hint = cfg.admission_linger_hint_us > 0.0
                                  ? cfg.admission_linger_hint_us
                                  : cfg.linger_us;
@@ -78,24 +83,34 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
     return *std::min_element(worker_free.begin(), worker_free.end());
   };
 
-  // Flush `pending` as one dispatch at time t (queue wait is measured to
-  // the dispatch() CALL, exactly like the live service's stats).
-  const auto dispatch_batch = [&](double t) {
-    const std::size_t real = pending.size();
-    res.batches++;
-    if (real == 16) res.full_batches++;
-    res.padded_lanes += 16 - real;
+  // One flush of `pending` at time t by the batch-or-scalar rule: a
+  // padded batch of the oldest ops, or the oldest alone on the scalar
+  // engine (queue wait is measured to the dispatch() CALL, exactly like
+  // the live service's stats).
+  std::uint64_t batched_lanes = 0;
+  const auto dispatch_flush = [&](double t) {
+    const service::FlushPlan plan =
+        service::plan_flush(pending.size(), min_lanes);
+    if (plan.scalar) {
+      res.scalar_ops++;
+    } else {
+      res.batches++;
+      if (plan.take == 16) res.full_batches++;
+      res.padded_lanes += 16 - plan.take;
+      batched_lanes += plan.take;
+    }
     auto it = std::min_element(worker_free.begin(), worker_free.end());
     const double start = std::max(t, *it);
-    *it = start + cost.batch_us;
-    for (const double a : pending) {
-      waits.push_back(t - a);
-      sojourns.push_back(*it - a);
+    *it = start + (plan.scalar ? cost.scalar_us : cost.batch_us);
+    for (std::size_t i = 0; i < plan.take; ++i) {
+      waits.push_back(t - pending[i]);
+      sojourns.push_back(*it - pending[i]);
     }
-    pending.clear();
-    completions.push_back({*it, real});
-    in_flight.emplace(*it, real);
-    in_flight_ops += real;
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(plan.take));
+    completions.push_back({*it, plan.take});
+    in_flight.emplace(*it, plan.take);
+    in_flight_ops += plan.take;
     last_completion = std::max(last_completion, *it);
   };
 
@@ -110,7 +125,7 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
       const double flush_at =
           std::max(deadline, min_free()) + cost.linger_slack_us;
       if (flush_at >= now) break;
-      dispatch_batch(flush_at);
+      dispatch_flush(flush_at);
     }
   };
 
@@ -139,14 +154,19 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
     }
     res.admitted++;
     pending.push_back(t);
-    if (pending.size() >= threshold) dispatch_batch(t);
+    if (pending.size() >= threshold) {
+      while (!pending.empty()) dispatch_flush(t);  // the whole queue, now
+    }
   }
 
   // stop() drain: the live service dispatches the remainder IMMEDIATELY at
   // the stop call (stamping queue_wait there; the batch then queues behind
   // any backlog), under every flush policy. The traces this repo records
   // end at the stop call, so the last arrival stands in for it.
-  if (!pending.empty()) dispatch_batch(pending.back());
+  if (!pending.empty()) {
+    const double stop_at = pending.back();
+    while (!pending.empty()) dispatch_flush(stop_at);
+  }
 
   // Event-frontend resume stage: each batch completion releases its real
   // lanes as resume events onto `event_workers` reactor workers, each
@@ -171,7 +191,7 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
 
   res.occupancy = res.batches == 0
                       ? 0.0
-                      : static_cast<double>(res.admitted) /
+                      : static_cast<double>(batched_lanes) /
                             static_cast<double>(res.batches * 16);
   res.shed_fraction = res.offered == 0
                           ? 0.0

@@ -5,11 +5,13 @@
 // and op mix a live SignService saw. This engine re-runs that arrival
 // process through a deterministic discrete-event model of the scheduler —
 // the same flush policy sign_service.cpp implements (threshold dispatch,
-// linger-deadline partial flush gated on a free dispatch slot, stop()
-// drain) — against a per-batch cost taken from the phisim OffloadModel or
-// from a measurement. The output is what the service's stats() would have
-// reported under a DIFFERENT configuration: lane occupancy, shed rate,
-// and queue-wait percentiles for candidate configs that were never run.
+// linger-deadline flush gated on a free dispatch slot, stop() drain, and
+// the batch-or-scalar rule of service/flush_rule.hpp, the same header the
+// service calls) — against a per-batch and a per-scalar-op cost taken
+// from the phisim OffloadModel or from a measurement. The output is what
+// the service's stats() would have reported under a DIFFERENT
+// configuration: lane occupancy, shed rate, and queue-wait percentiles
+// for candidate configs that were never run.
 // `phissl_autotune` (phisim/autotune.hpp) sweeps candidates over one
 // recorded trace and picks a winner; bench_autotune validates the model
 // against live runs of the same cells.
@@ -20,8 +22,6 @@
 //  - Admission prediction uses the model's true batch cost where the live
 //    AdmissionController uses its EWMA of measured costs — determinism
 //    over fidelity; the steady-state values agree.
-//  - Batch cost is constant per dispatch (the kernel always runs the
-//    fixed 16-lane shape, so this matches the real service closely).
 #pragma once
 
 #include <cstddef>
@@ -42,8 +42,8 @@ struct ReplayConfig {
   /// Real lanes that trigger an immediate dispatch
   /// (SignServiceConfig::max_batch_lanes). Clamped to [1, 16].
   std::size_t max_batch_lanes = 16;
-  /// Dispatch workers running whole 16-lane batches
-  /// (SignServiceConfig::dispatch_threads). Clamped to >= 1.
+  /// Dispatch workers, each running one 16-lane batch or one scalar op
+  /// at a time (SignServiceConfig::dispatch_threads). Clamped to >= 1.
   std::size_t dispatch_slots = 1;
   /// Admission bound (AdmissionConfig::max_predicted_wait), in us;
   /// 0 = admit everything.
@@ -65,6 +65,11 @@ struct ReplayCost {
   /// (kernel + completion delivery — what phissl_service_batch_service_us
   /// measures).
   double batch_us = 100.0;
+  /// Wall time of one scalar private op on a dispatch slot, in us. The
+  /// modeled break-even is batch_min_lanes_for(batch_us, scalar_us), as
+  /// the live service measures it per shard; 0 models a service with no
+  /// scalar path (every flush a batch).
+  double scalar_us = 0.0;
   /// Event frontend: per-connection resume handling on a reactor worker,
   /// in us (state-machine pump + record round-trip).
   double resume_us = 2.0;
@@ -83,9 +88,10 @@ struct ReplayCost {
                                        const KernelProfile& op,
                                        std::size_t request_bytes,
                                        std::size_t response_bytes);
-  /// Batch cost measured on the live host (bench calibration — what
-  /// bench_sign_service's capacity probe produces).
-  static ReplayCost from_measured(double batch_us);
+  /// Batch (and optionally scalar-op) cost measured on the live host
+  /// (bench calibration — what bench_sign_service's capacity probe
+  /// produces).
+  static ReplayCost from_measured(double batch_us, double scalar_us = 0.0);
 };
 
 /// What the replayed service would have reported.
@@ -96,11 +102,12 @@ struct ReplayResult {
   std::uint64_t batches = 0;
   std::uint64_t full_batches = 0;
   std::uint64_t padded_lanes = 0;
-  double occupancy = 0.0;       ///< admitted / (batches * 16)
+  std::uint64_t scalar_ops = 0; ///< admitted ops dispatched alone, scalar
+  double occupancy = 0.0;       ///< batched ops / (batches * 16)
   double shed_fraction = 0.0;   ///< shed / offered
   util::Summary wait_us;        ///< per-admitted-op queue wait (submit ->
                                 ///< dispatch, the stats() definition)
-  util::Summary sojourn_us;     ///< per-admitted-op submit -> batch
+  util::Summary sojourn_us;     ///< per-admitted-op submit -> dispatch
                                 ///< completion — the end-to-end latency a
                                 ///< caller observes, which unlike wait_us
                                 ///< includes time queued behind busy

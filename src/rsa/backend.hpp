@@ -13,10 +13,11 @@
 // `Backend` is the coarse service-level knob (SignServiceConfig,
 // BatchDecryptConfig, DriverConfig, the bench --backend flags); it maps
 // onto the finer-grained rsa::Kernel for the scalar Engine via
-// kernel_for() in engine.hpp. PHISSL_FORCE_BACKEND overrides every
-// construction-site choice process-wide — the CI sanitizer legs use
-// PHISSL_FORCE_BACKEND=ifma52 to push the whole suite through the new
-// backend without touching any call site.
+// kernel_for() in engine.hpp. The service-level defaults are ifma52.
+// PHISSL_FORCE_BACKEND overrides every construction-site choice
+// process-wide — a CI sanitizer leg uses PHISSL_FORCE_BACKEND=knc_vec to
+// push the whole suite through the paper's kernels without touching any
+// call site.
 #pragma once
 
 #include <optional>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -9,14 +10,17 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/workload.hpp"
-#include "util/timing.hpp"
+#include "rsa/engine.hpp"
 #include "rsa/pkcs1.hpp"
+#include "service/flush_rule.hpp"
 #include "util/sha256.hpp"
 
 namespace phissl::service {
 
 using bigint::BigInt;
 using Clock = std::chrono::steady_clock;
+
+static_assert(kFlushLanes == SignService::kBatch);
 
 namespace {
 
@@ -46,6 +50,8 @@ struct SignService::Metrics {
   obs::Counter& flush_full;
   obs::Counter& flush_linger;
   obs::Counter& flush_drain;
+  obs::Counter& scalar_ops;
+  obs::Gauge& batch_min_lanes;
   obs::Histogram& queue_wait_us;
   obs::Histogram& service_us;
 
@@ -72,13 +78,52 @@ struct SignService::Metrics {
         flush_drain(obs::Registry::global().counter(
             "phissl_service_flush_total", "batch flushes by reason",
             svc + ",reason=\"drain\"")),
+        scalar_ops(obs::Registry::global().counter(
+            "phissl_service_scalar_ops_total",
+            "requests dispatched alone on the scalar engine", svc)),
+        batch_min_lanes(obs::Registry::global().gauge(
+            "phissl_service_batch_min_lanes",
+            "measured batch break-even: fewest real lanes a batch runs",
+            svc)),
         queue_wait_us(obs::Registry::global().histogram(
             "phissl_service_queue_wait_us",
-            "per-request sign()-to-dispatch wait (microseconds)", svc)),
+            "per-request sign()-to-dispatch wait, batched and scalar "
+            "(microseconds)",
+            svc)),
         service_us(obs::Registry::global().histogram(
             "phissl_service_batch_service_us",
             "per-batch kernel + completion time (microseconds)", svc)) {}
 };
+
+namespace {
+
+/// The shard's batch_min_lanes: ceil(B / S) for a warm 16-lane batch (B)
+/// and a warm scalar op (S) on the same input, each the best of three
+/// interleaved timings so a preempted run or a frequency step hits both.
+std::size_t measure_batch_min_lanes(const rsa::BatchEngine& batch,
+                                    const rsa::Engine& scalar,
+                                    const BigInt& x) {
+  std::array<BigInt, SignService::kBatch> xs;
+  std::array<BigInt, SignService::kBatch> out;
+  xs.fill(x);
+  BigInt y;
+  batch.private_op(xs, out);  // warm the per-thread workspaces
+  scalar.private_op_into(x, y);
+  double batch_us = std::numeric_limits<double>::infinity();
+  double scalar_us = batch_us;
+  for (int rep = 0; rep < 3; ++rep) {
+    const Clock::time_point t0 = Clock::now();
+    batch.private_op(xs, out);
+    const Clock::time_point t1 = Clock::now();
+    scalar.private_op_into(x, y);
+    const Clock::time_point t2 = Clock::now();
+    batch_us = std::min(batch_us, to_us(t1 - t0));
+    scalar_us = std::min(scalar_us, to_us(t2 - t1));
+  }
+  return batch_min_lanes_for(batch_us, scalar_us);
+}
+
+}  // namespace
 
 /// One queued request: the EMSA-encoded digest as an integer in [0, n),
 /// plus the promise OR completion callback the dispatch path fulfills
@@ -92,28 +137,42 @@ struct SignService::Pending {
   obs::WorkloadOp op = obs::WorkloadOp::kSign;  // workload-trace tag
 };
 
-/// Per-key shard: one BatchEngine plus its (sub-16) submission queue.
+/// Per-key shard: a BatchEngine and a scalar Engine over the same key and
+/// backend, the break-even between them, and the (sub-16) submission
+/// queue.
 struct SignService::Shard {
   Shard(rsa::PrivateKey key, rsa::Backend backend, unsigned digit_bits)
-      : engine(std::move(key), backend, digit_bits),
-        k(engine.pub().byte_size()) {
-    // Dummy input for padded lanes: the EMSA encoding of an all-zero
-    // digest. Any EMSA block starts 0x00 0x01, so its value is < 2^(8k-8)
-    // <= n — always a valid private_op input. Using one fixed value keeps
-    // the padded lanes on the identical 16-lane kernel shape; their
-    // outputs are simply discarded.
-    const util::Sha256::Digest zero{};
-    dummy = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(zero, k));
-  }
+      : engine(key, backend, digit_bits),
+        scalar(std::move(key),
+               rsa::EngineOptions{.kernel = rsa::kernel_for(engine.backend()),
+                                  .digit_bits = digit_bits}),
+        k(engine.pub().byte_size()),
+        // Dummy input for padded lanes: the EMSA encoding of an all-zero
+        // digest. Any EMSA block starts 0x00 0x01, so its value is
+        // < 2^(8k-8) <= n — always a valid private_op input. Using one
+        // fixed value keeps the padded lanes on the identical 16-lane
+        // kernel shape; their outputs are simply discarded.
+        dummy(BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(
+            util::Sha256::Digest{}, k))),
+        batch_min_lanes(measure_batch_min_lanes(engine, scalar, dummy)) {}
 
   rsa::BatchEngine engine;
-  std::size_t k;  // modulus byte size (signature length)
+  rsa::Engine scalar;  // kernel_for(engine.backend()): same math, one lane
+  std::size_t k;       // modulus byte size (signature length)
   BigInt dummy;
+  std::size_t batch_min_lanes;
   std::uint32_t key_bits() const { return static_cast<std::uint32_t>(k * 8); }
 
   std::mutex mu;
   std::vector<Pending> pending;   // always < kBatch entries
   Clock::time_point oldest;       // submit time of pending.front()
+};
+
+/// One plan_flush() decision with the requests it took off the queue.
+struct SignService::Flush {
+  Shard* shard;
+  std::vector<Pending> reqs;
+  bool scalar;
 };
 
 SignService::SignService(SignServiceConfig config)
@@ -133,10 +192,14 @@ void SignService::add_key(const std::string& key_id, rsa::PrivateKey key) {
   }
   auto shard = std::make_unique<Shard>(std::move(key), config_.backend,
                                        config_.digit_bits);
+  const auto lanes = static_cast<std::int64_t>(shard->batch_min_lanes);
   std::lock_guard<std::mutex> lock(shards_mu_);
   if (!shards_.emplace(key_id, std::move(shard)).second) {
     throw std::invalid_argument("SignService::add_key: duplicate key id \"" +
                                 key_id + "\"");
+  }
+  if (lanes > metrics_->batch_min_lanes.value()) {
+    metrics_->batch_min_lanes.set(lanes);
   }
 }
 
@@ -220,7 +283,7 @@ void SignService::private_op_async(const std::string& key_id,
 std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
   std::future<SignResult> fut = p.promise.get_future();
 
-  std::vector<Pending> batch;
+  std::vector<Flush> flushes;
   bool first_pending = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -235,15 +298,15 @@ std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
     }
     shard.pending.push_back(std::move(p));
     if (shard.pending.size() >= config_.max_batch_lanes) {
-      batch = std::move(shard.pending);
-      shard.pending.clear();
+      // Threshold reached: flush the whole queue now — one batch, unless
+      // the threshold sits below the break-even.
+      while (!shard.pending.empty()) flushes.push_back(take_flush(shard));
     }
   }
   metrics_->requests.inc();
 
-  if (!batch.empty()) {
-    // Fast path: 16 pending, go now.
-    dispatch(shard, std::move(batch), FlushReason::kFull);
+  if (!flushes.empty()) {
+    for (Flush& f : flushes) run_flush(std::move(f), FlushReason::kFull);
   } else if (first_pending && !config_.full_batches_only) {
     // Arm the linger timer for this shard's new deadline.
     {
@@ -254,6 +317,70 @@ std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
   }
   return fut;
 }
+
+SignService::Flush SignService::take_flush(Shard& shard) {
+  const FlushPlan plan =
+      plan_flush(shard.pending.size(), shard.batch_min_lanes);
+  const auto first = shard.pending.begin();
+  const auto last = first + static_cast<std::ptrdiff_t>(plan.take);
+  Flush f{&shard,
+          {std::make_move_iterator(first), std::make_move_iterator(last)},
+          plan.scalar};
+  shard.pending.erase(first, last);
+  if (!shard.pending.empty()) shard.oldest = shard.pending.front().submitted;
+  return f;
+}
+
+void SignService::run_flush(Flush&& flush, FlushReason why) {
+  if (flush.scalar) {
+    dispatch_scalar(*flush.shard, std::move(flush.reqs.front()));
+  } else {
+    dispatch(*flush.shard, std::move(flush.reqs), why);
+  }
+}
+
+namespace {
+
+/// Hands one finished request its result, through the callback for the
+/// *_async forms or the promise otherwise. nullopt is passed only from a
+/// catch handler, whose exception the promise then carries. A throwing
+/// completion is a caller bug; it is swallowed so sibling requests still
+/// deliver.
+template <typename Pending>
+void deliver(Pending& p, std::optional<SignResult> r) {
+  if (p.done) {
+    try {
+      p.done(std::move(r));
+    } catch (...) {
+    }
+  } else if (r) {
+    p.promise.set_value(std::move(*r));
+  } else {
+    p.promise.set_exception(std::current_exception());
+  }
+}
+
+/// The workload-trace event of one dispatched request (batch_id and
+/// lanes_filled stay 0 for a scalar dispatch).
+template <typename Pending>
+obs::WorkloadEvent workload_event(const Pending& p, Clock::time_point dispatch,
+                                  std::uint32_t key_bits) {
+  obs::WorkloadEvent ev;
+  ev.arrival_ns = obs::WorkloadRecorder::global().rel_ns(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              p.submitted.time_since_epoch())
+              .count()));
+  ev.queue_wait_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(dispatch -
+                                                           p.submitted)
+          .count());
+  ev.key_bits = key_bits;
+  ev.op = p.op;
+  return ev;
+}
+
+}  // namespace
 
 void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
                            FlushReason why) {
@@ -292,18 +419,9 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
     obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
     const std::uint64_t batch_id = rec.next_batch_id();
     for (const Pending& p : *work) {
-      obs::WorkloadEvent ev;
-      ev.arrival_ns = rec.rel_ns(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              p.submitted.time_since_epoch())
-              .count()));
-      ev.queue_wait_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(dispatch_time -
-                                                               p.submitted)
-              .count());
+      obs::WorkloadEvent ev =
+          workload_event(p, dispatch_time, shard.key_bits());
       ev.batch_id = batch_id;
-      ev.key_bits = shard.key_bits();
-      ev.op = p.op;
       ev.lanes_filled = static_cast<std::uint8_t>(real);
       rec.record(ev);
     }
@@ -327,39 +445,14 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
         sigs[l] = out[l].to_bytes_be(shard.k);
       }
       for (std::size_t l = 0; l < work->size(); ++l) {
-        SignResult r{std::move(sigs[l]), (*work)[l].submitted, done};
-        if ((*work)[l].done) {
-          // Async form: callback instead of future. A throwing completion
-          // is a caller bug; swallow it so sibling lanes still deliver.
-          try {
-            (*work)[l].done(std::move(r));
-          } catch (...) {
-          }
-        } else {
-          (*work)[l].promise.set_value(std::move(r));
-        }
+        deliver((*work)[l],
+                SignResult{std::move(sigs[l]), (*work)[l].submitted, done});
       }
       metrics_->service_us.record(to_us(done - dispatch_time));
     } catch (...) {
-      for (Pending& p : *work) {
-        if (p.done) {
-          try {
-            p.done(std::nullopt);
-          } catch (...) {
-          }
-        } else {
-          p.promise.set_exception(std::current_exception());
-        }
-      }
+      for (Pending& p : *work) deliver(p, std::nullopt);
     }
-    // A dispatch slot just freed up: wake the linger timer so a partial
-    // batch whose deadline expired while we were busy flushes now.
-    inflight_.fetch_sub(1);
-    {
-      std::lock_guard<std::mutex> lock(linger_mu_);
-      ++linger_gen_;
-    }
-    linger_cv_.notify_one();
+    release_slot();
   };
   try {
     pool_.submit(run);
@@ -368,6 +461,48 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
     // batch inline so every promise is still fulfilled.
     run();
   }
+}
+
+void SignService::dispatch_scalar(Shard& shard, Pending&& req) {
+  const Clock::time_point dispatch_time = Clock::now();
+  auto work = std::make_shared<Pending>(std::move(req));
+
+  metrics_->scalar_ops.inc();
+  metrics_->queue_wait_us.record(to_us(dispatch_time - work->submitted));
+  if (PHISSL_OBS_WORKLOAD_ENABLED) {
+    obs::WorkloadRecorder::global().record(
+        workload_event(*work, dispatch_time, shard.key_bits()));
+  }
+
+  inflight_.fetch_add(1);
+  auto run = [this, &shard, work] {
+    PHISSL_OBS_SPAN("svc.scalar");
+    try {
+      BigInt y;
+      shard.scalar.private_op_into(work->x, y);
+      deliver(*work, SignResult{y.to_bytes_be(shard.k), work->submitted,
+                                Clock::now()});
+    } catch (...) {
+      deliver(*work, std::nullopt);
+    }
+    release_slot();
+  };
+  try {
+    pool_.submit(run);
+  } catch (const std::exception&) {
+    run();  // the pool is draining: see dispatch()
+  }
+}
+
+void SignService::release_slot() {
+  // A dispatch slot just freed up: wake the linger timer so a partial
+  // queue whose deadline expired while we were busy flushes now.
+  inflight_.fetch_sub(1);
+  {
+    std::lock_guard<std::mutex> lock(linger_mu_);
+    ++linger_gen_;
+  }
+  linger_cv_.notify_one();
 }
 
 void SignService::linger_loop() {
@@ -405,24 +540,24 @@ void SignService::linger_loop() {
     if (linger_cv_.wait_until(lk, *next, changed)) continue;  // re-evaluate
     if (inflight_.load() >= pool_.size()) continue;  // slot filled meanwhile
 
-    // Deadline reached: flush every shard whose oldest request expired.
+    // Deadline reached: every shard whose oldest request expired flushes
+    // once by the batch-or-scalar rule. A scalar flush leaves the rest
+    // queued under the next request's deadline; the loop comes back for
+    // it while slots stay free.
     PHISSL_OBS_SPAN("svc.linger_flush");
     const Clock::time_point now = Clock::now();
-    std::vector<std::pair<Shard*, std::vector<Pending>>> flushes;
+    std::vector<Flush> flushes;
     {
       std::lock_guard<std::mutex> sl(shards_mu_);
       for (auto& [id, shard] : shards_) {
         std::lock_guard<std::mutex> pl(shard->mu);
         if (!shard->pending.empty() &&
             shard->oldest + config_.max_linger <= now) {
-          flushes.emplace_back(shard.get(), std::move(shard->pending));
-          shard->pending.clear();
+          flushes.push_back(take_flush(*shard));
         }
       }
     }
-    for (auto& [shard, batch] : flushes) {
-      dispatch(*shard, std::move(batch), FlushReason::kLinger);
-    }
+    for (Flush& f : flushes) run_flush(std::move(f), FlushReason::kLinger);
   }
 }
 
@@ -435,10 +570,13 @@ StatsSnapshot SignService::stats() const {
   s.batches = metrics_->batches.value();
   s.requests = metrics_->requests.value();
   s.padded_lanes = metrics_->padded_lanes.value();
-  const std::uint64_t lanes_signed = metrics_->lanes_signed.value();
+  s.lanes_signed = metrics_->lanes_signed.value();
+  s.scalar_ops = metrics_->scalar_ops.value();
+  s.batch_min_lanes =
+      static_cast<std::uint64_t>(metrics_->batch_min_lanes.value());
   s.mean_lane_occupancy =
       s.batches == 0 ? 0.0
-                     : static_cast<double>(lanes_signed) /
+                     : static_cast<double>(s.lanes_signed) /
                            static_cast<double>(s.batches * kBatch);
   s.queue_wait_us = metrics_->queue_wait_us.snapshot().summary();
   s.service_us = metrics_->service_us.snapshot().summary();
@@ -461,20 +599,15 @@ void SignService::stop() {
   // here is a barrier — every accepted request is either in pending (we
   // flush it) or was already dispatched (the pool drain below waits).
   accepting_.store(false);
-  std::vector<std::pair<Shard*, std::vector<Pending>>> flushes;
+  std::vector<Flush> flushes;
   {
     std::lock_guard<std::mutex> sl(shards_mu_);
     for (auto& [id, shard] : shards_) {
       std::lock_guard<std::mutex> pl(shard->mu);
-      if (!shard->pending.empty()) {
-        flushes.emplace_back(shard.get(), std::move(shard->pending));
-        shard->pending.clear();
-      }
+      while (!shard->pending.empty()) flushes.push_back(take_flush(*shard));
     }
   }
-  for (auto& [shard, batch] : flushes) {
-    dispatch(*shard, std::move(batch), FlushReason::kDrain);
-  }
+  for (Flush& f : flushes) run_flush(std::move(f), FlushReason::kDrain);
   pool_.shutdown();
   stopped_ = true;
 }

@@ -1,21 +1,36 @@
 // Asynchronous batched signing service: the on-ramp that feeds the
 // 16-lane BatchEngine from irregular single-request traffic.
 //
-// The batch kernels (rsa::BatchEngine over mont::BatchVectorMontCtx) hit
+// The batch kernels (rsa::BatchEngine over mont::BatchIfmaMontCtx or
+// mont::BatchVectorMontCtx) hit
 // the paper's headline throughput only when all 16 SIMD lanes carry real
 // work, but a server sees requests one at a time. This service closes the
 // gap: callers submit single `sign(digest) -> future<SignResult>`
-// requests and the service transparently coalesces them into full 16-lane
-// batches. The flush policy is adaptive:
+// requests and the service coalesces them into 16-lane batches — when,
+// and only when, a batch is the cheaper way to run them. The flush policy
+// is adaptive:
 //
 //   - the moment 16 requests are pending for one key, the batch is
 //     dispatched immediately (the fast path — zero added latency under
 //     load);
-//   - otherwise a partial batch is flushed once its oldest request has
-//     lingered for `max_linger` AND a dispatch slot is free, with the
-//     unused lanes padded by a precomputed dummy input so the vector
-//     kernel always runs the exact same 16-lane shape (the dummy results
-//     are discarded).
+//   - otherwise, once the oldest request has lingered for `max_linger`
+//     AND a dispatch slot is free, the shard flushes by the break-even
+//     rule in service/flush_rule.hpp: with at least `batch_min_lanes`
+//     requests pending it runs one 16-lane batch, the unused lanes padded
+//     with a precomputed dummy input (their results are discarded);
+//     with fewer, it hands only its oldest request to the slot, which
+//     runs it on a per-shard scalar rsa::Engine over the same backend.
+//
+// A padded batch costs the same wall time as a full one, so below the
+// break-even a partial batch costs more than running its requests one at
+// a time. `batch_min_lanes` is not a
+// knob: add_key() measures it per shard as ceil(B / S), the best of three
+// interleaved timings of a warm 16-lane batch (B) and a warm scalar op
+// (S) on the shard's backend. On an idle 4-core AVX-512 IFMA Xeon the
+// ifma52 backend measures 10-11 at RSA-2048 and 17 at RSA-4096 (a batch
+// never pays there, so every flush runs scalar), 4-8 at the 512/1024-bit
+// test keys; knc_vec measures 9 at RSA-2048. A busy host shifts these by
+// a lane or two.
 //
 // The dispatch-slot condition is what makes the scheduler lane-FILLING
 // rather than merely deadline-driven: while every worker is busy, an
@@ -27,9 +42,10 @@
 // ~8x and the backlog (and tail latency) diverges; bench_sign_service's
 // sweep is exactly the experiment that exposes this.
 //
-// Net effect: at light load a request waits at most max_linger before its
-// (mostly padded) batch runs; at heavy load lane occupancy approaches
-// 100% — the occupancy-vs-latency knob bench_sign_service sweeps.
+// Net effect: at light load a request waits about max_linger and then
+// runs alone on the scalar engine; at heavy load lane occupancy
+// approaches 100% — the occupancy-vs-latency knob bench_sign_service
+// sweeps.
 //
 // One service instance holds one shard per private key (keyed by a caller
 // chosen string id) and routes requests by key id; dispatches run on the
@@ -62,19 +78,22 @@ namespace phissl::service {
 
 /// Tuning knobs for a SignService.
 struct SignServiceConfig {
-  /// Workers in the dispatch pool (each runs whole 16-lane batches).
+  /// Workers in the dispatch pool (each runs one 16-lane batch or one
+  /// scalar op at a time).
   std::size_t dispatch_threads = 2;
-  /// How long the oldest pending request may wait before a partial batch
-  /// is flushed with dummy-padded lanes (once a dispatch slot is free —
-  /// see the class comment). Smaller = lower tail latency at light load,
-  /// lower lane occupancy. Ignored when full_batches_only.
+  /// How long the oldest pending request may wait before its shard
+  /// flushes a partial queue (once a dispatch slot is free — see the class
+  /// comment for the batch-or-scalar rule). Smaller = lower tail latency
+  /// at light load, lower lane occupancy. Ignored when full_batches_only.
   std::chrono::microseconds max_linger{500};
-  /// Real lanes that trigger an immediate ("full") dispatch. The vector
-  /// kernel always runs the fixed 16-lane shape — lowering this pads the
-  /// remainder with dummy lanes, trading occupancy for queue wait (an
-  /// autotuner output, not usually hand-set). Clamped to [1, 16].
+  /// Pending requests that trigger an immediate ("full") flush of the
+  /// whole queue. A batch always runs the fixed 16-lane shape — lowering
+  /// this pads the remainder with dummy lanes (or, below the measured
+  /// batch_min_lanes, runs each request on the scalar engine), trading
+  /// occupancy for queue wait (an autotuner output, not usually
+  /// hand-set). Clamped to [1, 16].
   std::size_t max_batch_lanes = 16;
-  /// Never flush a partial batch on a deadline: dispatch only when 16
+  /// Never flush a partial queue on a deadline: dispatch only when 16
   /// requests are pending (plus a final drain at stop()). This is the
   /// forced-full baseline bench_sign_service compares against — maximal
   /// occupancy, unbounded queueing latency at light load.
@@ -82,9 +101,12 @@ struct SignServiceConfig {
   /// Redundant-radix digit width for the underlying batch contexts
   /// (knc_vec backend only; the ifma52 radix is fixed at 52).
   unsigned digit_bits = 27;
-  /// Montgomery backend for every per-key BatchEngine shard. Subject to
-  /// the process-wide PHISSL_FORCE_BACKEND override (see rsa/backend.hpp).
-  rsa::Backend backend = rsa::Backend::kKncVec;
+  /// Montgomery backend for every per-key shard (its BatchEngine and its
+  /// scalar Engine). ifma52 (vpmadd52) is the fast path on CPUs with
+  /// AVX-512 IFMA; without it ifma52 runs portable u128 kernels, which
+  /// are slower than knc_vec, the paper-faithful kernel. Subject to the
+  /// process-wide PHISSL_FORCE_BACKEND override (see rsa/backend.hpp).
+  rsa::Backend backend = rsa::Backend::kIfma52;
 };
 
 /// A completed signing request: the PKCS#1 v1.5 signature block plus the
@@ -103,12 +125,20 @@ struct SignResult {
 struct StatsSnapshot {
   std::uint64_t requests = 0;      ///< sign() calls accepted
   std::uint64_t batches = 0;       ///< 16-lane dispatches issued
-  std::uint64_t full_batches = 0;  ///< dispatches with no padded lane
+  std::uint64_t full_batches = 0;  ///< batches with no padded lane
   std::uint64_t padded_lanes = 0;  ///< dummy lanes across all batches
-  /// Real requests per dispatched lane: requests_signed / (batches * 16).
+  std::uint64_t lanes_signed = 0;  ///< requests dispatched in batches
+  /// Requests dispatched alone on the scalar engine. Once stop() returns,
+  /// requests == lanes_signed + scalar_ops.
+  std::uint64_t scalar_ops = 0;
+  /// The break-even measured at add_key (see service/flush_rule.hpp);
+  /// the largest across shards, 0 before the first key.
+  std::uint64_t batch_min_lanes = 0;
+  /// Real requests per batched lane: lanes_signed / (batches * 16).
   /// 1.0 means every dispatched lane carried caller work.
   double mean_lane_occupancy = 0.0;
-  /// Per-request time from sign() to batch dispatch (microseconds).
+  /// Per-request time from sign() to dispatch (microseconds), batched
+  /// and scalar requests alike.
   util::Summary queue_wait_us;
   /// Per-batch kernel + completion time (microseconds).
   util::Summary service_us;
@@ -120,8 +150,8 @@ class SignService {
 
   /// Completion callback for the non-blocking submission forms
   /// (sign_async / private_op_async): invoked exactly once with the
-  /// result, or with nullopt if the batch dispatch failed. It runs on a
-  /// dispatch worker thread immediately after the batch completes, so it
+  /// result, or with nullopt if the dispatch failed. It runs on a
+  /// dispatch worker thread immediately after its dispatch completes, so it
   /// must be cheap and must not block (the event-driven TLS frontend's
   /// bridge, for example, only enqueues a resume event into its reactor —
   /// see ssl/async/reactor.hpp). Re-entering the service from the
@@ -138,9 +168,11 @@ class SignService {
   SignService(const SignService&) = delete;
   SignService& operator=(const SignService&) = delete;
 
-  /// Registers a private key under `key_id` (one BatchEngine shard per
-  /// key). Thread-safe; throws std::invalid_argument on a duplicate id
-  /// and std::runtime_error after stop().
+  /// Registers a private key under `key_id` (one shard per key: a
+  /// BatchEngine, a scalar Engine, and the batch_min_lanes break-even
+  /// timed between them, which costs about four batches' wall time).
+  /// Thread-safe; throws std::invalid_argument on a duplicate id and
+  /// std::runtime_error after stop().
   void add_key(const std::string& key_id, rsa::PrivateKey key);
 
   /// Public half of a registered key (for verification).
@@ -162,8 +194,8 @@ class SignService {
   /// interpretation on the way out). This is the TLS-termination on-ramp:
   /// ClientKeyExchange decryptions from many concurrent connections
   /// coalesce into the same adaptive 16-lane batches as signing traffic,
-  /// sharing the linger/backpressure scheduler and the per-key
-  /// BatchEngine shard. Thread-safe. Throws std::invalid_argument for an
+  /// sharing the linger/backpressure scheduler, the batch-or-scalar rule
+  /// and the per-key shard. Thread-safe. Throws std::invalid_argument for an
   /// unknown key, a wrong-size block, or a value >= n, and
   /// std::runtime_error after stop().
   std::future<SignResult> private_op(const std::string& key_id,
@@ -200,16 +232,25 @@ class SignService {
   struct Pending;
   struct Shard;
 
+  struct Flush;
+
   /// Why a batch left the queue: 16 pending (full), linger deadline, or
   /// the stop() drain. Feeds the phissl_service_flush_total counters.
   enum class FlushReason { kFull, kLinger, kDrain };
 
   Shard& find_shard(const std::string& key_id) const;
   /// Shared submission tail for sign()/private_op(): queues the encoded
-  /// request, dispatches a full batch immediately, or arms the linger
-  /// timer for a fresh partial.
+  /// request, flushes the queue immediately at the threshold, or arms the
+  /// linger timer for a fresh partial.
   std::future<SignResult> enqueue(Shard& shard, Pending&& p);
+  /// Takes one plan_flush() worth of requests off a non-empty queue.
+  /// Caller holds shard.mu.
+  static Flush take_flush(Shard& shard);
+  void run_flush(Flush&& flush, FlushReason why);
   void dispatch(Shard& shard, std::vector<Pending>&& batch, FlushReason why);
+  void dispatch_scalar(Shard& shard, Pending&& req);
+  /// A dispatch finished: frees its slot and wakes the linger timer.
+  void release_slot();
   void linger_loop();
 
   SignServiceConfig config_;
@@ -234,9 +275,10 @@ class SignService {
   std::uint64_t linger_gen_ = 0;
   bool stopping_ = false;
 
-  // Batches submitted to the pool and not yet finished. The linger timer
-  // only deadline-flushes while this is below the worker count (a free
-  // dispatch slot exists); full 16-lane batches always dispatch.
+  // Dispatches (batches and scalar ops) submitted to the pool and not yet
+  // finished. The linger timer only deadline-flushes while this is below
+  // the worker count (a free dispatch slot exists); threshold flushes
+  // always dispatch.
   std::atomic<std::uint64_t> inflight_{0};
 
   std::atomic<bool> accepting_{true};

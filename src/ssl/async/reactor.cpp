@@ -504,6 +504,7 @@ DriverReport fold_driver_report(const ReactorStats& stats,
   const service::StatsSnapshot ss = svc.stats();
   report.batches = ss.batches;
   report.batch_lane_occupancy = ss.mean_lane_occupancy;
+  report.scalar_ops = ss.scalar_ops;
   return report;
 }
 

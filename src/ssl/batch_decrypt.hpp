@@ -9,12 +9,16 @@
 // with signing traffic) and exposes it through the ssl::KexDecrypter
 // interface, so ServerHandshake::on_key_exchange calls from concurrent
 // connections fill whole SIMD batches instead of each running a scalar
-// CRT exponentiation.
+// CRT exponentiation — once enough of them are queued to beat the scalar
+// engine. Below the service's measured break-even (batch_min_lanes; 10-11
+// for the default ifma52 backend at RSA-2048 on an AVX-512 IFMA Xeon) a
+// linger flush runs the oldest decryption alone on the scalar engine, so
+// a sparse terminator pays for no padded lanes.
 //
 // decrypt_premaster() blocks the calling handshake thread until its
-// batch completes — at most ~max_linger longer than a scalar call at
-// light load, and strictly higher throughput once enough connections are
-// in flight to fill lanes (the bench_handshake sweep measures exactly
+// dispatch completes — about max_linger longer than a direct scalar call
+// at light load, and strictly higher throughput once enough connections
+// are in flight to fill lanes (the bench_handshake sweep measures exactly
 // this crossover). PKCS#1 v1.5 unpadding runs on the caller after the
 // batch returns the raw k-byte block; a padding failure here is reported
 // as nullopt and absorbed by the handshake's random-premaster
@@ -37,7 +41,8 @@ namespace phissl::ssl {
 
 /// Tuning knobs, forwarded to the underlying SignService.
 struct BatchDecryptConfig {
-  /// Workers running whole 16-lane batches. The handshake threads block
+  /// Dispatch workers (each runs a 16-lane batch or one scalar op at a
+  /// time). The handshake threads block
   /// in decrypt_premaster(), so one or two dispatch workers suffice.
   std::size_t dispatch_threads = 1;
   /// Partial-batch linger bound (see SignServiceConfig::max_linger).
@@ -49,8 +54,9 @@ struct BatchDecryptConfig {
   bool full_batches_only = false;
   /// Redundant-radix digit width for the batch contexts (knc_vec only).
   unsigned digit_bits = 27;
-  /// Montgomery backend for the batched private ops (see rsa/backend.hpp).
-  rsa::Backend backend = rsa::Backend::kKncVec;
+  /// Montgomery backend for the batched and scalar private ops (see
+  /// rsa/backend.hpp and SignServiceConfig::backend).
+  rsa::Backend backend = rsa::Backend::kIfma52;
 };
 
 class BatchDecryptService final : public KexDecrypter {
@@ -89,7 +95,7 @@ class BatchDecryptService final : public KexDecrypter {
                          DecryptCompletion done);
 
   /// Scheduler counters of the underlying service (lane occupancy,
-  /// batch/padded-lane counts, queue-wait quantiles).
+  /// batch/padded-lane and scalar-op counts, queue-wait quantiles).
   [[nodiscard]] service::StatsSnapshot stats() const { return svc_.stats(); }
 
  private:

@@ -213,6 +213,7 @@ DriverReport run_handshakes(const rsa::Engine& server_engine,
     const service::StatsSnapshot ss = batch_svc->stats();
     report.batches = ss.batches;
     report.batch_lane_occupancy = ss.mean_lane_occupancy;
+    report.scalar_ops = ss.scalar_ops;
   }
   return report;
 }

@@ -65,7 +65,9 @@ struct DriverConfig {
 
   /// Route ClientKeyExchange decryptions through a BatchDecryptService so
   /// concurrent full handshakes fill 16-lane SIMD batches, instead of
-  /// each connection running its own scalar CRT exponentiation.
+  /// each connection running its own scalar CRT exponentiation. Below the
+  /// service's measured break-even a lone decryption still runs scalar,
+  /// on the service's dispatch worker.
   bool batch_private_ops = false;
   /// Partial-batch linger bound for the batched path.
   std::chrono::microseconds batch_linger{500};
@@ -75,9 +77,11 @@ struct DriverConfig {
   /// Dispatch workers for the batched path (the handshake threads block
   /// awaiting their lane, so 1 is usually right).
   std::size_t batch_dispatch_threads = 1;
-  /// Montgomery backend for the batched private ops (see rsa/backend.hpp);
-  /// the scalar handshake path follows the server engine's kernel instead.
-  rsa::Backend batch_backend = rsa::Backend::kKncVec;
+  /// Montgomery backend for the batch service's private ops, batched and
+  /// scalar alike (see rsa/backend.hpp and SignServiceConfig::backend).
+  /// The unbatched handshake path follows the server engine's kernel
+  /// instead.
+  rsa::Backend batch_backend = rsa::Backend::kIfma52;
 
   /// Shared session-cache geometry (see SessionCacheConfig).
   std::size_t cache_capacity = 4096;
@@ -100,6 +104,9 @@ struct DriverReport {
   // Batched-decrypt scheduler counters (zero when batch_private_ops off).
   std::uint64_t batches = 0;            ///< 16-lane dispatches issued
   double batch_lane_occupancy = 0.0;    ///< real requests per dispatched lane
+  /// Private ops the service ran alone on its scalar engine (below the
+  /// measured break-even, see service/flush_rule.hpp).
+  std::uint64_t scalar_ops = 0;
 
   // Event-frontend counters (zero under the threaded frontend).
   std::uint64_t shed = 0;  ///< connections rejected by admission control

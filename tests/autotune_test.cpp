@@ -1,7 +1,8 @@
 // Unit tests for the trace-driven replay engine (src/phisim/replay.hpp)
 // and autotuner (src/phisim/autotune.hpp): scheduler-model behavior on
 // hand-built traces (threshold dispatch, linger flush behind a busy slot,
-// forced-full, admission shedding, the event-frontend resume stage),
+// the batch-or-scalar break-even, forced-full, admission shedding, the
+// event-frontend resume stage),
 // autotune determinism (the golden property: same trace + grid + cost +
 // seed -> identical recommendation), tuned-config JSON round-trip, and the
 // ssl::apply_tuned_config mapping onto live service configs.
@@ -101,6 +102,48 @@ TEST(Replay, LingerWaitsForBusySlot) {
   EXPECT_EQ(r.batches, 3u);
   // Waits: 16 zeros, then the blocked op (1000 - 100), then the drain op.
   EXPECT_DOUBLE_EQ(r.wait_us.max, 900.0);
+}
+
+TEST(Replay, SparseArrivalsRunScalarBelowBreakEven) {
+  // Ops 10ms apart never share a flush. A 1000us batch against a 100us
+  // scalar op puts the break-even at 10 lanes, so each op lingers and then
+  // runs alone on the scalar engine: its sojourn is the linger plus one
+  // scalar op, and no padded lane is paid for.
+  const auto evs = burst(0, 8, 10'000);
+  ReplayConfig cfg;
+  cfg.linger_us = 500.0;
+  ReplayCost cost = cost_us(1000, 0);
+  cost.scalar_us = 100.0;
+  const ReplayResult r = replay_workload(evs, cfg, cost);
+  EXPECT_EQ(r.admitted, 8u);
+  EXPECT_EQ(r.scalar_ops, 8u);
+  EXPECT_EQ(r.batches, 0u);
+  EXPECT_EQ(r.padded_lanes, 0u);
+  EXPECT_DOUBLE_EQ(r.occupancy, 0.0);
+  EXPECT_DOUBLE_EQ(r.sojourn_us.max, 500.0 + 100.0);
+  EXPECT_DOUBLE_EQ(r.sojourn_us.min, 100.0);  // the drained op: no linger
+
+  // The same trace with no scalar path pays a whole batch per op.
+  const ReplayResult batched = replay_workload(evs, cfg, cost_us(1000, 0));
+  EXPECT_EQ(batched.scalar_ops, 0u);
+  EXPECT_EQ(batched.batches, 8u);
+  EXPECT_DOUBLE_EQ(batched.sojourn_us.max, 500.0 + 1000.0);
+}
+
+TEST(Replay, PartialAtBreakEvenStillBatches) {
+  // Ten simultaneous ops reach the 10-lane break-even: the linger flush
+  // runs them as one padded batch, not ten scalar ops.
+  auto evs = burst(0, 10, 0);
+  evs.push_back(arrival(50'000));  // advances time past the flush
+  ReplayConfig cfg;
+  cfg.linger_us = 500.0;
+  ReplayCost cost = cost_us(1000, 0);
+  cost.scalar_us = 100.0;
+  const ReplayResult r = replay_workload(evs, cfg, cost);
+  EXPECT_EQ(r.batches, 1u);
+  EXPECT_EQ(r.padded_lanes, 6u);
+  EXPECT_EQ(r.scalar_ops, 1u);  // the late op, drained alone
+  EXPECT_DOUBLE_EQ(r.occupancy, 10.0 / 16.0);
 }
 
 TEST(Replay, FullBatchesOnlyNeverLingerFlushes) {

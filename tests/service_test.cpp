@@ -1,22 +1,28 @@
 // SignService tests: the async batching layer must produce exactly the
 // signatures the synchronous engines produce, on every dispatch path —
-// the 16-pending fast path, the linger-deadline partial flush (with
-// dummy-padded lanes), the stop() drain, and cross-key routing — and its
-// stats block must stay consistent with the traffic it served.
+// the 16-pending fast path, the linger-deadline flush (a dummy-padded
+// batch at or above the measured break-even, the scalar engine below
+// it), the stop() drain, and cross-key routing — and its stats block must
+// stay consistent with the traffic it served.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
+#include "service/flush_rule.hpp"
 #include "service/sign_service.hpp"
 #include "util/random.hpp"
 #include "util/sha256.hpp"
@@ -77,20 +83,24 @@ TEST(SignService, FullBatchFastPath) {
 }
 
 TEST(SignService, PartialBatchLingerFlush) {
+  // A partial below the measured break-even flushes on the linger timer
+  // one request at a time, each alone on the scalar engine: no batch and
+  // no padded lane.
   SignServiceConfig cfg;
   cfg.max_linger = std::chrono::microseconds(2000);
   SignService svc(cfg);
   svc.add_key("k", rsa::test_key(512));
+  const std::size_t min_lanes = svc.stats().batch_min_lanes;
+  ASSERT_GE(min_lanes, 1u);
+  if (min_lanes == 1) GTEST_SKIP() << "a one-lane batch beats scalar here";
+  const std::size_t n = std::min<std::size_t>(min_lanes - 1, 3);
 
   std::vector<util::Sha256::Digest> digests;
   std::vector<std::future<SignResult>> futs;
-  const auto submit_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     digests.push_back(digest_of(100 + i));
     futs.push_back(svc.sign("k", digests.back()));
   }
-  const auto submit_window =
-      std::chrono::steady_clock::now() - submit_start;
   // No stop() here: completion must come from the linger timer alone.
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const SignResult r = futs[i].get();
@@ -98,25 +108,246 @@ TEST(SignService, PartialBatchLingerFlush) {
   }
 
   const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.requests, 3u);
+  EXPECT_EQ(s.requests, n);
+  EXPECT_EQ(s.scalar_ops, n);
+  EXPECT_EQ(s.batches, 0u);
+  EXPECT_EQ(s.lanes_signed, 0u);
+  EXPECT_EQ(s.padded_lanes, 0u);
+  EXPECT_DOUBLE_EQ(s.mean_lane_occupancy, 0.0);
+  EXPECT_EQ(s.queue_wait_us.count, n);  // scalar waits are recorded too
+  EXPECT_EQ(s.service_us.count, 0u);    // ...but only batches time here
+}
+
+TEST(SignService, PartialAtBreakEvenRunsOnePaddedBatch) {
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::microseconds(20000);
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(512));
+  const std::size_t n = svc.stats().batch_min_lanes;
+  if (n >= SignService::kBatch) {
+    GTEST_SKIP() << "break-even " << n << " leaves no partial batch";
+  }
+
+  std::vector<util::Sha256::Digest> digests;
+  std::vector<std::future<SignResult>> futs;
+  const auto submit_start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < n; ++i) {
+    digests.push_back(digest_of(150 + i));
+    futs.push_back(svc.sign("k", digests.back()));
+  }
+  const auto submit_window = std::chrono::steady_clock::now() - submit_start;
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    EXPECT_TRUE(
+        verifies(svc.public_key("k"), digests[i], futs[i].get().signature));
+  }
+
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.requests, n);
   EXPECT_EQ(s.full_batches, 0u);
+  EXPECT_EQ(s.lanes_signed + s.scalar_ops, n);
   // The linger deadline starts no earlier than the first submission, so if
-  // all three submissions landed within max_linger of each other they are
-  // guaranteed to flush as ONE batch. If scheduler contention stretched
-  // the submission loop past the deadline, the dispatcher may correctly
-  // split the flush — assert the shape invariants instead of the exact
-  // count rather than serializing the whole test run around a timing
-  // budget (this is CPU contention, not a race: certified under TSan).
+  // every submission landed within max_linger the flush saw all n pending
+  // and ran them as ONE padded batch. If scheduler contention stretched
+  // the loop past the deadline, the oldest may have gone scalar first;
+  // assert the shape invariants instead of serializing the test run
+  // around a timing budget.
   if (submit_window < cfg.max_linger) {
     EXPECT_EQ(s.batches, 1u);
-  } else {
-    EXPECT_GE(s.batches, 1u);
-    EXPECT_LE(s.batches, 3u);
+    EXPECT_EQ(s.scalar_ops, 0u);
   }
-  EXPECT_EQ(s.padded_lanes, s.batches * SignService::kBatch - 3);
-  EXPECT_DOUBLE_EQ(
-      s.mean_lane_occupancy,
-      3.0 / static_cast<double>(s.batches * SignService::kBatch));
+  EXPECT_EQ(s.padded_lanes, s.batches * SignService::kBatch - s.lanes_signed);
+}
+
+TEST(SignService, SixteenPendingDispatchImmediately) {
+  // With a linger far longer than the test, only the 16-pending threshold
+  // can complete these requests: as one full batch, or as 16 scalar ops
+  // where the measured break-even says a batch never pays.
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::seconds(60);
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(512));
+  const bool batch_pays = svc.stats().batch_min_lanes <= SignService::kBatch;
+
+  std::vector<std::future<SignResult>> futs;
+  for (std::size_t i = 0; i < SignService::kBatch; ++i) {
+    futs.push_back(svc.sign("k", digest_of(170 + i)));
+  }
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  }
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.batches, batch_pays ? 1u : 0u);
+  EXPECT_EQ(s.full_batches, batch_pays ? 1u : 0u);
+  EXPECT_EQ(s.padded_lanes, 0u);
+  EXPECT_EQ(s.scalar_ops, batch_pays ? 0u : SignService::kBatch);
+}
+
+TEST(SignService, ScalarPathMatchesEngine) {
+  // One request at a time sits below the break-even, so every form runs
+  // on the shard's scalar engine — and must produce exactly the bytes the
+  // synchronous rsa::Engine produces.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const std::size_t k = key.pub.byte_size();
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::microseconds(200);
+  SignService svc(cfg);
+  svc.add_key("k", key);
+  const rsa::Engine engine(key, rsa::EngineOptions{});
+
+  const util::Sha256::Digest digest = digest_of(4100);
+  const auto expected_sig =
+      engine
+          .private_op(BigInt::from_bytes_be(
+              rsa::emsa_pkcs1_v15_from_digest(digest, k)))
+          .to_bytes_be(k);
+  util::Rng rng(4101);
+  std::vector<std::uint8_t> block(k);
+  rng.fill_bytes(block.data(), block.size());
+  block[0] = 0;
+  const auto expected_raw =
+      engine.private_op(BigInt::from_bytes_be(block)).to_bytes_be(k);
+
+  EXPECT_EQ(svc.sign("k", digest).get().signature, expected_sig);
+  EXPECT_EQ(svc.private_op("k", block).get().signature, expected_raw);
+
+  std::promise<std::optional<SignResult>> async_sig, async_raw;
+  svc.sign_async("k", digest, [&](std::optional<SignResult> r) {
+    async_sig.set_value(std::move(r));
+  });
+  auto sig = async_sig.get_future().get();
+  svc.private_op_async("k", block, [&](std::optional<SignResult> r) {
+    async_raw.set_value(std::move(r));
+  });
+  auto raw = async_raw.get_future().get();
+  ASSERT_TRUE(sig.has_value());
+  ASSERT_TRUE(raw.has_value());
+  EXPECT_EQ(sig->signature, expected_sig);
+  EXPECT_EQ(raw->signature, expected_raw);
+  EXPECT_GE(raw->completed_at, raw->submitted_at);
+
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.requests, 4u);
+  if (s.batch_min_lanes > 1) {
+    EXPECT_EQ(s.scalar_ops, 4u);
+    EXPECT_EQ(s.batches, 0u);
+  }
+}
+
+TEST(SignService, RequestsInvariantAfterStop) {
+  // Concurrent submitters with uneven pacing mix full batches, linger
+  // flushes of both kinds and a final drain; afterwards every accepted
+  // request is accounted for exactly once.
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::microseconds(300);
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(512));
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 25;
+  std::vector<std::thread> threads;
+  std::vector<std::vector<std::future<SignResult>>> futs(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        futs[t].push_back(svc.sign("k", digest_of(5000 + t * 100 + i)));
+        if ((i + t) % 7 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(700));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  svc.stop();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      EXPECT_TRUE(verifies(svc.public_key("k"),
+                           digest_of(5000 + t * 100 + i),
+                           futs[t][i].get().signature));
+    }
+  }
+
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.requests, kThreads * kPerThread);
+  EXPECT_EQ(s.requests, s.lanes_signed + s.scalar_ops);
+  EXPECT_EQ(s.queue_wait_us.count, s.requests);
+  EXPECT_EQ(s.service_us.count, s.batches);
+  EXPECT_EQ(s.lanes_signed + s.padded_lanes, s.batches * SignService::kBatch);
+}
+
+TEST(SignService, StopDrainsSubBreakEvenPartial) {
+  // The linger timer cannot fire within the test, so only stop()'s drain
+  // completes these: below the break-even it runs each request scalar.
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::seconds(60);
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(512));
+  const std::size_t min_lanes = svc.stats().batch_min_lanes;
+  const std::size_t n = std::clamp<std::size_t>(min_lanes - 1, 1, 15);
+
+  std::vector<std::future<SignResult>> futs;
+  std::vector<std::optional<SignResult>> async_results(n);
+  std::atomic<std::size_t> async_done{0};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 2 == 0) {
+      futs.push_back(svc.sign("k", digest_of(600 + i)));
+    } else {
+      svc.sign_async("k", digest_of(600 + i),
+                     [&, i](std::optional<SignResult> r) {
+                       async_results[i] = std::move(r);
+                       async_done.fetch_add(1);
+                     });
+    }
+  }
+  svc.stop();
+  EXPECT_EQ(async_done.load(), n / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 2 == 1) ASSERT_TRUE(async_results[i].has_value()) << i;
+    const std::vector<std::uint8_t> sig =
+        i % 2 == 0 ? futs[i / 2].get().signature : async_results[i]->signature;
+    EXPECT_TRUE(verifies(svc.public_key("k"), digest_of(600 + i), sig)) << i;
+  }
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.requests, n);
+  EXPECT_EQ(s.lanes_signed + s.scalar_ops, n);
+  if (min_lanes > n) {
+    EXPECT_EQ(s.scalar_ops, n);
+    EXPECT_EQ(s.batches, 0u);
+  }
+}
+
+TEST(SignServiceFlushRule, BreakEvenFromCosts) {
+  EXPECT_EQ(service::batch_min_lanes_for(1000.0, 100.0), 10u);
+  EXPECT_EQ(service::batch_min_lanes_for(1001.0, 100.0), 11u);
+  EXPECT_EQ(service::batch_min_lanes_for(50.0, 100.0), 1u);  // batch wins
+  EXPECT_EQ(service::batch_min_lanes_for(1600.0, 100.0), 16u);
+  // A batch dearer than 16 scalars never pays (the RSA-4096 regime).
+  EXPECT_EQ(service::batch_min_lanes_for(1601.0, 100.0), 17u);
+  EXPECT_EQ(service::batch_min_lanes_for(1e9, 1.0), 17u);
+  // No scalar cost: there is no scalar path, every flush batches.
+  EXPECT_EQ(service::batch_min_lanes_for(1000.0, 0.0), 1u);
+}
+
+TEST(SignServiceFlushRule, PlanFlush) {
+  using service::plan_flush;
+  // Below the break-even: only the oldest leaves, on the scalar engine.
+  EXPECT_EQ(plan_flush(3, 10).take, 1u);
+  EXPECT_TRUE(plan_flush(3, 10).scalar);
+  EXPECT_TRUE(plan_flush(9, 10).scalar);
+  // At or above it: one batch takes everything pending, up to 16.
+  EXPECT_EQ(plan_flush(10, 10).take, 10u);
+  EXPECT_FALSE(plan_flush(10, 10).scalar);
+  EXPECT_EQ(plan_flush(16, 10).take, 16u);
+  EXPECT_FALSE(plan_flush(16, 10).scalar);
+  EXPECT_EQ(plan_flush(20, 10).take, 16u);
+  // Break-even 1: always a batch, even of one lane.
+  EXPECT_EQ(plan_flush(1, 1).take, 1u);
+  EXPECT_FALSE(plan_flush(1, 1).scalar);
+  EXPECT_EQ(plan_flush(7, 1).take, 7u);
+  // Break-even above 16: even 16 pending go one at a time, scalar.
+  EXPECT_EQ(plan_flush(16, 17).take, 1u);
+  EXPECT_TRUE(plan_flush(16, 17).scalar);
+  EXPECT_TRUE(plan_flush(1, 17).scalar);
+  static_assert(plan_flush(16, 16).take == 16 && !plan_flush(16, 16).scalar);
 }
 
 TEST(SignService, MatchesSynchronousEngineSignature) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "baseline/systems.hpp"
@@ -177,7 +179,9 @@ TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
   EXPECT_EQ(*client.master(), *server.master());
   const auto st = svc.stats();
   EXPECT_EQ(st.requests, 1u);
-  EXPECT_GE(st.batches, 1u);
+  // The decryption went through the service: in a batch, or alone on the
+  // scalar engine when one request is below the measured break-even.
+  EXPECT_EQ(st.lanes_signed + st.scalar_ops, 1u);
 }
 
 TEST_F(HandshakeTest, BatchedDecrypterRejectsMalformedUniformly) {
@@ -536,8 +540,11 @@ TEST(Driver, BatchedPrivateOpsCompleteAll) {
   const DriverReport r = run_handshakes(engine, cfg);
   EXPECT_EQ(r.completed, 16u);
   EXPECT_EQ(r.failed, 0u);
-  EXPECT_GE(r.batches, 1u);  // the decryptions went through the service
-  EXPECT_GT(r.batch_lane_occupancy, 0.0);
+  // Every decryption went through the service: as a batch lane, or alone
+  // on its scalar engine below the measured break-even.
+  const auto batched = std::llround(r.batch_lane_occupancy *
+                                    static_cast<double>(r.batches * 16));
+  EXPECT_EQ(static_cast<std::uint64_t>(batched) + r.scalar_ops, 16u);
   EXPECT_EQ(r.latency_us.count, 16u);
   // All full handshakes: 16 cache inserts, no hit.
   EXPECT_EQ(r.cache_hits, 0u);

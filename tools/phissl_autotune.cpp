@@ -7,12 +7,14 @@
 //
 // The trace comes from any instrumented binary run with --workload (the
 // bench harnesses and examples all take the flag; see docs/AUTOTUNE.md).
-// Per-batch cost defaults to a live calibration: one 16-lane BatchEngine
-// private_op on this host, timed — the same probe bench_sign_service
-// uses — so the recommendation reflects the machine it runs on.
+// Costs default to a live calibration on the service's default backend:
+// one 16-lane BatchEngine private_op and one scalar Engine private op on
+// this host, timed, so the recommendation reflects the machine it runs
+// on and the model's batch-or-scalar break-even matches the service's.
 // --batch-us X skips the probe (replaying a production trace on a dev
-// box against the production cost); --model prices batches with the
-// phisim PCIe offload model instead (tuning for the KNC deployment).
+// box against the production cost; no scalar path is modeled); --model
+// prices batches with the phisim PCIe offload model instead (tuning for
+// the KNC deployment, where every op ships as a batch).
 //
 // The winning config is written as JSON consumable by
 // ssl::load_tuned_config() / apply_tuned_config(). --all additionally
@@ -32,7 +34,9 @@
 #include "phisim/autotune.hpp"
 #include "phisim/profile.hpp"
 #include "rsa/batch_engine.hpp"
+#include "rsa/engine.hpp"
 #include "rsa/key.hpp"
+#include "service/sign_service.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
@@ -41,23 +45,33 @@ namespace {
 
 using namespace phissl;
 
-/// Median wall time of one full 16-lane batch private_op on this host, in
-/// microseconds (the capacity probe bench_sign_service runs).
-double calibrate_batch_us(std::size_t key_bits) {
+/// Median wall times of one full 16-lane batch private_op and of one
+/// scalar private op on this host, in microseconds, over the backend a
+/// default-configured SignService runs.
+phisim::ReplayCost calibrate_costs(std::size_t key_bits) {
   const rsa::PrivateKey& key = rsa::test_key(key_bits);
-  const rsa::BatchEngine engine(key);
+  const rsa::BatchEngine engine(key, service::SignServiceConfig{}.backend);
+  const rsa::Engine scalar(
+      key, rsa::EngineOptions{.kernel = rsa::kernel_for(engine.backend())});
   util::Rng rng(7);
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> xs;
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> out;
   for (auto& x : xs) x = bigint::BigInt::random_below(key.pub.n, rng);
+  bigint::BigInt y;
   engine.private_op(xs, out);  // warm-up (tables, allocator)
-  std::vector<double> samples;
+  scalar.private_op_into(xs[0], y);
+  std::vector<double> batch_samples, scalar_samples;
   for (int rep = 0; rep < 5; ++rep) {
     util::Stopwatch sw;
     engine.private_op(xs, out);
-    samples.push_back(static_cast<double>(sw.elapsed_ns()) * 1e-3);
+    batch_samples.push_back(static_cast<double>(sw.elapsed_ns()) * 1e-3);
+    sw.reset();
+    scalar.private_op_into(xs[0], y);
+    scalar_samples.push_back(static_cast<double>(sw.elapsed_ns()) * 1e-3);
   }
-  return util::summarize(std::move(samples)).median;
+  return phisim::ReplayCost::from_measured(
+      util::summarize(std::move(batch_samples)).median,
+      util::summarize(std::move(scalar_samples)).median);
 }
 
 std::vector<std::size_t> parse_size_list(const char* s) {
@@ -155,9 +169,10 @@ int main(int argc, char** argv) {
     std::printf("batch cost: %.1f us (phisim offload model, RSA-%zu)\n",
                 cost.batch_us, key_bits);
   } else {
-    cost = phisim::ReplayCost::from_measured(calibrate_batch_us(key_bits));
-    std::printf("batch cost: %.1f us (calibrated on this host, RSA-%zu)\n",
-                cost.batch_us, key_bits);
+    cost = calibrate_costs(key_bits);
+    std::printf("batch cost: %.1f us, scalar op: %.1f us (calibrated on "
+                "this host, RSA-%zu)\n",
+                cost.batch_us, cost.scalar_us, key_bits);
   }
 
   const phisim::AutotuneReport report =
