@@ -155,7 +155,8 @@ int main(int argc, char** argv) {
   // backend: the batch cost it measures is both the rate scale for the
   // cells and, with the scalar-op cost, the ReplayCost the model runs
   // against.
-  const rsa::BatchEngine cal(key, service::SignServiceConfig{}.backend);
+  const service::SignServiceConfig default_cfg;  // the shipped defaults
+  const rsa::BatchEngine cal(key, default_cfg.backend);
   const rsa::Engine cal_scalar(
       key, rsa::EngineOptions{.kernel = rsa::kernel_for(cal.backend())});
   util::Rng rng(7);
@@ -170,14 +171,19 @@ int main(int argc, char** argv) {
       bench::time_op_ms([&] { (void)cal_scalar.private_op(xs[0]); }, 3, 0.2,
                         50, &cal_capped)
           .median;
+  // The cells run the shipped defaults, one dispatch worker per usable
+  // CPU, so capacity is every worker's batch rate: a cell's multiplier is
+  // its load on the whole pool, the same on any host.
   const double capacity_rps =
-      static_cast<double>(rsa::BatchEngine::kBatch) / (t_batch_ms * 1e-3);
+      static_cast<double>(rsa::BatchEngine::kBatch *
+                          default_cfg.dispatch_threads) /
+      (t_batch_ms * 1e-3);
   const phisim::ReplayCost cost =
       phisim::ReplayCost::from_measured(t_batch_ms * 1e3, t_scalar_ms * 1e3);
   std::printf("\nRSA-%zu: full 16-lane batch = %.2f ms -> capacity %.0f "
-              "signs/s; replay batch cost %.0f us%s\n",
-              bits, t_batch_ms, capacity_rps, cost.batch_us,
-              cal_capped ? " (rep-capped calibration)" : "");
+              "signs/s on %zu workers; replay batch cost %.0f us%s\n",
+              bits, t_batch_ms, capacity_rps, default_cfg.dispatch_threads,
+              cost.batch_us, cal_capped ? " (rep-capped calibration)" : "");
   json.add_row("calibration", std::to_string(bits),
                {{"t_batch_ms", t_batch_ms},
                 {"t_scalar_ms", t_scalar_ms},
@@ -206,8 +212,6 @@ int main(int argc, char** argv) {
 
   int within15 = 0;
   std::vector<obs::WorkloadEvent> saturated_trace;
-  service::SignServiceConfig default_cfg;
-  default_cfg.dispatch_threads = 1;
   double saturated_rate = 0.0;
 
   for (const Cell& cell : cells) {

@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   // --backend pins the termination sweep's Montgomery backend: both the
   // server engine's scalar kernel and the batched-decrypt contexts, so
   // scalar and batched rows stay an apples-to-apples A/B.
-  rsa::Backend backend = rsa::Backend::kKncVec;
+  rsa::Backend backend = rsa::default_backend();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--frontend") == 0 && i + 1 < argc) {

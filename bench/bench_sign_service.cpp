@@ -124,7 +124,7 @@ CellResult run_cell(const rsa::PrivateKey& key, double rate_rps,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  rsa::Backend backend = rsa::Backend::kKncVec;
+  rsa::Backend backend = rsa::default_backend();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
@@ -188,7 +188,10 @@ int main(int argc, char** argv) {
   std::vector<Policy> policies;
   {
     service::SignServiceConfig base;
-    base.dispatch_threads = 1;  // 1-core host: one batch in flight
+    // One worker, so one batch in flight: the sweep's rates are
+    // multiples of a single worker's batch capacity (16 / t_batch), and
+    // more workers would shift every load factor by the host's core count.
+    base.dispatch_threads = 1;
     base.backend = backend;
     Policy small{"linger_200us", base};
     small.cfg.max_linger = std::chrono::microseconds(200);

@@ -13,7 +13,9 @@
 //     compiled with AVX-512 IFMA support AND util::cpu_features() reports
 //     the CPU has it,
 //   - otherwise the portable u128-column instantiation of the exact same
-//     algorithm (still beats the u32-lane KNC emulation on 64-bit hosts).
+//     algorithm. It is correct everywhere but 2-4x slower than the knc_vec
+//     kernels, which is why rsa::default_backend() picks knc_vec on CPUs
+//     without IFMA.
 // `force_portable` (or PHISSL_FORCE_BACKEND=ifma52-portable) pins the
 // portable path for A/B runs and sanitizer CI on non-IFMA machines.
 //

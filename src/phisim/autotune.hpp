@@ -34,22 +34,25 @@
 
 #include "obs/workload.hpp"
 #include "phisim/replay.hpp"
+#include "util/cpu.hpp"
 
 namespace phissl::phisim {
 
 /// Candidate values swept per knob. Defaults cover the ranges the
 /// bench_sign_service / bench_handshake sweeps explore; every list must
 /// be non-empty. The DEFAULT service config (500us linger, 16 lanes,
-/// admission off) is inside the default grid, so the winner can never
-/// score worse than the defaults under the model.
+/// one dispatch worker per usable CPU, admission off) is inside the
+/// default grid, so the winner can never score worse than the defaults
+/// under the model.
 struct AutotuneGrid {
   std::vector<double> linger_us = {100.0, 200.0, 500.0, 1000.0, 2000.0};
   std::vector<std::size_t> max_batch_lanes = {8, 16};
-  /// Default is 1: the replay prices extra slots at the full calibrated
-  /// batch cost in parallel (ideal scaling), which measured A/B runs on a
-  /// frequency-shared host contradict — sweep wider slot counts only with
+  /// Default is the shipped pool size alone, util::usable_cpus(): the
+  /// replay prices extra slots at the full calibrated batch cost in
+  /// parallel (ideal scaling), which measured A/B runs on a
+  /// frequency-shared host contradict — sweep other slot counts only with
   /// a per-slot-count calibrated cost.
-  std::vector<std::size_t> dispatch_slots = {1};
+  std::vector<std::size_t> dispatch_slots = {util::usable_cpus()};
   /// 0 = admission off.
   std::vector<double> admission_max_wait_us = {0.0, 5000.0, 20000.0};
   /// 0 = threaded frontend (skip the resume-stage model and the

@@ -2,6 +2,9 @@
 
 #include <cstdlib>
 
+#include "mont/ifma_kernels.hpp"
+#include "util/cpu.hpp"
+
 namespace phissl::rsa {
 
 const char* to_string(Backend b) {
@@ -21,6 +24,14 @@ std::optional<Backend> backend_from_string(std::string_view name) {
   if (name == "ifma52" || name == "ifma52-portable") return Backend::kIfma52;
   if (name == "scalar64") return Backend::kScalar64;
   return std::nullopt;
+}
+
+Backend default_backend() {
+  static const Backend b =
+      mont::ifma::compiled() && util::cpu_features().avx512ifma
+          ? Backend::kIfma52
+          : Backend::kKncVec;
+  return b;
 }
 
 std::optional<Backend> forced_backend() {

@@ -13,7 +13,9 @@
 // `Backend` is the coarse service-level knob (SignServiceConfig,
 // BatchDecryptConfig, DriverConfig, the bench --backend flags); it maps
 // onto the finer-grained rsa::Kernel for the scalar Engine via
-// kernel_for() in engine.hpp. The service-level defaults are ifma52.
+// kernel_for() in engine.hpp. The service-level defaults come from
+// default_backend(): ifma52 where the CPU runs vpmadd52, knc_vec elsewhere
+// (the portable u128 ifma52 path is 2-4x slower than knc_vec).
 // PHISSL_FORCE_BACKEND overrides every construction-site choice
 // process-wide — a CI sanitizer leg uses PHISSL_FORCE_BACKEND=knc_vec to
 // push the whole suite through the paper's kernels without touching any
@@ -40,6 +42,12 @@ const char* to_string(Backend b);
 /// kIfma52 — the context itself pins the portable path when it sees the
 /// env spelling), "scalar64". nullopt for anything else.
 std::optional<Backend> backend_from_string(std::string_view name);
+
+/// The backend the service-level configs default to: kIfma52 when the
+/// IFMA kernels are compiled in and util::cpu_features() reports AVX-512
+/// IFMA, else kKncVec. Probed once per process; PHISSL_FORCE_BACKEND still
+/// overrides it at construction (resolve_backend).
+Backend default_backend();
 
 /// The PHISSL_FORCE_BACKEND environment override, parsed once per
 /// process. nullopt when unset or unrecognized.

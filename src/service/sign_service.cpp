@@ -7,6 +7,10 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__unix__)
+#include <time.h>
+#endif
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/workload.hpp"
@@ -97,9 +101,25 @@ struct SignService::Metrics {
 
 namespace {
 
+/// This thread's CPU time in microseconds (wall time where the thread
+/// clock is unavailable). Unlike wall time it leaves out the stretches
+/// other threads or processes hold the core, which on a loaded host land
+/// mostly in the longer batch timing and push the break-even past 16.
+double thread_cpu_us() {
+#if defined(__unix__)
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
+    return static_cast<double>(ts.tv_sec) * 1e6 +
+           static_cast<double>(ts.tv_nsec) * 1e-3;
+  }
+#endif
+  return to_us(Clock::now().time_since_epoch());
+}
+
 /// The shard's batch_min_lanes: ceil(B / S) for a warm 16-lane batch (B)
 /// and a warm scalar op (S) on the same input, each the best of three
-/// interleaved timings so a preempted run or a frequency step hits both.
+/// interleaved timings in thread CPU time: interleaving makes a frequency
+/// step hit both, and CPU time leaves preemption out of either.
 std::size_t measure_batch_min_lanes(const rsa::BatchEngine& batch,
                                     const rsa::Engine& scalar,
                                     const BigInt& x) {
@@ -112,13 +132,13 @@ std::size_t measure_batch_min_lanes(const rsa::BatchEngine& batch,
   double batch_us = std::numeric_limits<double>::infinity();
   double scalar_us = batch_us;
   for (int rep = 0; rep < 3; ++rep) {
-    const Clock::time_point t0 = Clock::now();
+    const double t0 = thread_cpu_us();
     batch.private_op(xs, out);
-    const Clock::time_point t1 = Clock::now();
+    const double t1 = thread_cpu_us();
     scalar.private_op_into(x, y);
-    const Clock::time_point t2 = Clock::now();
-    batch_us = std::min(batch_us, to_us(t1 - t0));
-    scalar_us = std::min(scalar_us, to_us(t2 - t1));
+    const double t2 = thread_cpu_us();
+    batch_us = std::min(batch_us, t1 - t0);
+    scalar_us = std::min(scalar_us, t2 - t1);
   }
   return batch_min_lanes_for(batch_us, scalar_us);
 }

@@ -25,12 +25,13 @@
 // break-even a partial batch costs more than running its requests one at
 // a time. `batch_min_lanes` is not a
 // knob: add_key() measures it per shard as ceil(B / S), the best of three
-// interleaved timings of a warm 16-lane batch (B) and a warm scalar op
-// (S) on the shard's backend. On an idle 4-core AVX-512 IFMA Xeon the
-// ifma52 backend measures 10-11 at RSA-2048 and 17 at RSA-4096 (a batch
-// never pays there, so every flush runs scalar), 4-8 at the 512/1024-bit
-// test keys; knc_vec measures 9 at RSA-2048. A busy host shifts these by
-// a lane or two.
+// interleaved thread-CPU-time timings of a warm 16-lane batch (B) and a
+// warm scalar op (S) on the shard's backend. On an idle 4-core AVX-512
+// IFMA Xeon the ifma52 backend measures 10-14 at RSA-2048 (it drifts
+// from run to run) and 17 at RSA-4096 (a batch never pays there, so
+// every flush runs scalar), 5-9 at the 512/1024-bit test keys; knc_vec
+// measures 7-9 at RSA-2048. CPU time keeps preemption on a busy host out
+// of the ratio.
 //
 // The dispatch-slot condition is what makes the scheduler lane-FILLING
 // rather than merely deadline-driven: while every worker is busy, an
@@ -69,8 +70,10 @@
 #include <vector>
 
 #include "obs/workload.hpp"
+#include "rsa/backend.hpp"
 #include "rsa/batch_engine.hpp"
 #include "rsa/key.hpp"
+#include "util/cpu.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -79,8 +82,12 @@ namespace phissl::service {
 /// Tuning knobs for a SignService.
 struct SignServiceConfig {
   /// Workers in the dispatch pool (each runs one 16-lane batch or one
-  /// scalar op at a time).
-  std::size_t dispatch_threads = 2;
+  /// scalar op at a time). Defaults to util::usable_cpus(), so every CPU
+  /// the process may use can run private ops at once; the linger timer
+  /// only deadline-flushes into a free worker, so extra workers cost no
+  /// lane occupancy under load. Set it lower when other threads (a
+  /// reactor, say) need CPUs of their own.
+  std::size_t dispatch_threads = util::usable_cpus();
   /// How long the oldest pending request may wait before its shard
   /// flushes a partial queue (once a dispatch slot is free — see the class
   /// comment for the batch-or-scalar rule). Smaller = lower tail latency
@@ -102,11 +109,12 @@ struct SignServiceConfig {
   /// (knc_vec backend only; the ifma52 radix is fixed at 52).
   unsigned digit_bits = 27;
   /// Montgomery backend for every per-key shard (its BatchEngine and its
-  /// scalar Engine). ifma52 (vpmadd52) is the fast path on CPUs with
-  /// AVX-512 IFMA; without it ifma52 runs portable u128 kernels, which
-  /// are slower than knc_vec, the paper-faithful kernel. Subject to the
-  /// process-wide PHISSL_FORCE_BACKEND override (see rsa/backend.hpp).
-  rsa::Backend backend = rsa::Backend::kIfma52;
+  /// scalar Engine). The default, rsa::default_backend(), is ifma52
+  /// (vpmadd52) on CPUs with AVX-512 IFMA and knc_vec, the paper-faithful
+  /// kernel, elsewhere: without IFMA, ifma52 runs portable u128 kernels,
+  /// which are slower than knc_vec. Subject to the process-wide
+  /// PHISSL_FORCE_BACKEND override (see rsa/backend.hpp).
+  rsa::Backend backend = rsa::default_backend();
 };
 
 /// A completed signing request: the PKCS#1 v1.5 signature block plus the

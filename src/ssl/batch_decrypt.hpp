@@ -36,15 +36,18 @@
 #include "rsa/key.hpp"
 #include "service/sign_service.hpp"
 #include "ssl/handshake.hpp"
+#include "util/cpu.hpp"
 
 namespace phissl::ssl {
 
 /// Tuning knobs, forwarded to the underlying SignService.
 struct BatchDecryptConfig {
   /// Dispatch workers (each runs a 16-lane batch or one scalar op at a
-  /// time). The handshake threads block
-  /// in decrypt_premaster(), so one or two dispatch workers suffice.
-  std::size_t dispatch_threads = 1;
+  /// time). Defaults to util::usable_cpus(), like
+  /// SignServiceConfig::dispatch_threads: at light load each decryption
+  /// runs scalar on its own worker, so fewer workers than CPUs caps a
+  /// busy terminator at that many cores.
+  std::size_t dispatch_threads = util::usable_cpus();
   /// Partial-batch linger bound (see SignServiceConfig::max_linger).
   std::chrono::microseconds max_linger{500};
   /// Real lanes that trigger an immediate dispatch (see
@@ -56,7 +59,7 @@ struct BatchDecryptConfig {
   unsigned digit_bits = 27;
   /// Montgomery backend for the batched and scalar private ops (see
   /// rsa/backend.hpp and SignServiceConfig::backend).
-  rsa::Backend backend = rsa::Backend::kIfma52;
+  rsa::Backend backend = rsa::default_backend();
 };
 
 class BatchDecryptService final : public KexDecrypter {

@@ -10,6 +10,7 @@
 
 #include "rsa/engine.hpp"
 #include "ssl/async/admission.hpp"
+#include "util/cpu.hpp"
 #include "util/stats.hpp"
 
 namespace phissl::ssl {
@@ -74,14 +75,17 @@ struct DriverConfig {
   /// Real lanes that trigger an immediate dispatch on the batched path
   /// (see SignServiceConfig::max_batch_lanes). Clamped to [1, 16].
   std::size_t batch_max_lanes = 16;
-  /// Dispatch workers for the batched path (the handshake threads block
-  /// awaiting their lane, so 1 is usually right).
-  std::size_t batch_dispatch_threads = 1;
+  /// Dispatch workers for the batched path (see
+  /// BatchDecryptConfig::dispatch_threads). Defaults to
+  /// util::usable_cpus(): with fewer, the event and socket frontends run
+  /// every private op on fewer cores than the host grants, and RSA is
+  /// nearly all of a full handshake's server work.
+  std::size_t batch_dispatch_threads = util::usable_cpus();
   /// Montgomery backend for the batch service's private ops, batched and
   /// scalar alike (see rsa/backend.hpp and SignServiceConfig::backend).
   /// The unbatched handshake path follows the server engine's kernel
   /// instead.
-  rsa::Backend batch_backend = rsa::Backend::kIfma52;
+  rsa::Backend batch_backend = rsa::default_backend();
 
   /// Shared session-cache geometry (see SessionCacheConfig).
   std::size_t cache_capacity = 4096;

@@ -6,9 +6,12 @@
 
 #include <stdexcept>
 
+#include "mont/ifma_kernels.hpp"
 #include "rsa/backend.hpp"
+#include "rsa/batch_engine.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
+#include "util/cpu.hpp"
 #include "util/random.hpp"
 
 namespace phissl::rsa {
@@ -230,6 +233,16 @@ TEST(Backend, ResolveHonorsEnvironment) {
        {Backend::kKncVec, Backend::kIfma52, Backend::kScalar64}) {
     EXPECT_EQ(resolve_backend(b), forced_backend().value_or(b));
   }
+}
+
+TEST(Backend, DefaultFollowsCpuFeatures) {
+  // ifma52 only where vpmadd52 runs: its portable path is slower than
+  // knc_vec.
+  const bool ifma = util::cpu_features().avx512ifma && mont::ifma::compiled();
+  EXPECT_EQ(default_backend(), ifma ? Backend::kIfma52 : Backend::kKncVec);
+  // PHISSL_FORCE_BACKEND still wins over the default at construction.
+  const BatchEngine batch(test_key(512), default_backend());
+  EXPECT_EQ(batch.backend(), forced_backend().value_or(default_backend()));
 }
 
 }  // namespace

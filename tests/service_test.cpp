@@ -24,6 +24,7 @@
 #include "rsa/pkcs1.hpp"
 #include "service/flush_rule.hpp"
 #include "service/sign_service.hpp"
+#include "util/cpu.hpp"
 #include "util/random.hpp"
 #include "util/sha256.hpp"
 
@@ -274,6 +275,88 @@ TEST(SignService, RequestsInvariantAfterStop) {
   EXPECT_EQ(s.lanes_signed + s.padded_lanes, s.batches * SignService::kBatch);
 }
 
+TEST(SignService, ConfigDefaultsFollowHost) {
+  const SignServiceConfig cfg;
+  EXPECT_EQ(cfg.dispatch_threads, util::usable_cpus());
+  EXPECT_EQ(cfg.backend, rsa::default_backend());
+}
+
+TEST(SignService, ConcurrentSubmittersAtUsableCpusMatchEngine) {
+  // Default dispatch pool (one worker per usable CPU) under several
+  // submitter threads mixing sign() and private_op() in a trickle that
+  // keeps the queue mostly below the break-even, so scalar ops on the
+  // same shard run on several workers at once, with the odd burst
+  // batching. Every result must be bit-identical to rsa::Engine and every
+  // request counted exactly once.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const std::size_t k = key.pub.byte_size();
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::microseconds(100);
+  ASSERT_EQ(cfg.dispatch_threads, util::usable_cpus());
+  SignService svc(cfg);
+  svc.add_key("k", key);
+
+  const std::size_t threads_n = std::max<std::size_t>(4, util::usable_cpus());
+  constexpr std::size_t kPerThread = 24;
+  struct Req {
+    bool raw;
+    std::vector<std::uint8_t> input;  // raw block, or the 32-byte digest
+    std::future<SignResult> fut;
+  };
+  std::vector<std::vector<Req>> reqs(threads_n);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < threads_n; ++t) {
+    threads.emplace_back([&, t] {
+      util::Rng rng(7000 + t);
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        Req r;
+        r.raw = (i + t) % 2 == 0;
+        if (r.raw) {
+          r.input.resize(k);
+          rng.fill_bytes(r.input.data(), r.input.size());
+          r.input[0] = 0;
+          r.fut = svc.private_op("k", r.input);
+        } else {
+          const util::Sha256::Digest d = digest_of(7100 + t * 100 + i);
+          r.input.assign(d.begin(), d.end());
+          r.fut = svc.sign("k", d);
+        }
+        reqs[t].push_back(std::move(r));
+        if (i % 8 == 7) continue;  // burst: no pause
+        if (i % 3 == 0) {
+          reqs[t].back().fut.wait();
+        } else {
+          std::this_thread::sleep_for(std::chrono::microseconds(150));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  svc.stop();
+
+  const rsa::Engine engine(key, rsa::EngineOptions{});
+  for (std::size_t t = 0; t < threads_n; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      Req& r = reqs[t][i];
+      const BigInt x =
+          r.raw ? BigInt::from_bytes_be(r.input)
+                : BigInt::from_bytes_be(
+                      rsa::emsa_pkcs1_v15_from_digest(r.input, k));
+      EXPECT_EQ(r.fut.get().signature, engine.private_op(x).to_bytes_be(k))
+          << "thread " << t << " request " << i;
+    }
+  }
+
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.requests, threads_n * kPerThread);
+  EXPECT_EQ(s.requests, s.lanes_signed + s.scalar_ops);
+  EXPECT_EQ(s.queue_wait_us.count, s.requests);
+  EXPECT_EQ(s.lanes_signed + s.padded_lanes, s.batches * SignService::kBatch);
+  if (s.batch_min_lanes > 1) {
+    EXPECT_GT(s.scalar_ops, 0u);
+  }
+}
+
 TEST(SignService, StopDrainsSubBreakEvenPartial) {
   // The linger timer cannot fire within the test, so only stop()'s drain
   // completes these: below the break-even it runs each request scalar.
@@ -496,7 +579,7 @@ TEST(SignService, StopDrainsPartialEvenWhenFullBatchesOnly) {
 
 TEST(SignService, StatsSnapshotSanity) {
   SignServiceConfig cfg;
-  cfg.max_linger = std::chrono::microseconds(1000);
+  cfg.max_linger = std::chrono::microseconds(20000);
   SignService svc(cfg);
   svc.add_key("k", rsa::test_key(512));
 
@@ -516,6 +599,8 @@ TEST(SignService, StatsSnapshotSanity) {
 
   const StatsSnapshot s = svc.stats();
   EXPECT_EQ(s.requests, kRequests);
+  // The linger is far longer than 35 submissions take, so no linger flush
+  // splits the first 32 requests: both 16-pending batches are full.
   EXPECT_GE(s.batches, kRequests / SignService::kBatch);
   EXPECT_GE(s.full_batches, 2u);
   EXPECT_GT(s.mean_lane_occupancy, 0.0);

@@ -16,6 +16,7 @@
 #include "ssl/driver.hpp"
 #include "ssl/handshake.hpp"
 #include "ssl/session_cache.hpp"
+#include "util/cpu.hpp"
 #include "util/random.hpp"
 
 namespace phissl::ssl {
@@ -502,6 +503,17 @@ TEST(AlertNames, AllDistinct) {
   EXPECT_STREQ(to_string(Alert::kDecryptError), "decrypt_error");
   EXPECT_STREQ(to_string(Alert::kBadFinished), "bad_finished");
   EXPECT_STREQ(to_string(Alert::kUnexpectedMessage), "unexpected_message");
+}
+
+TEST(Driver, CryptoDefaultsFollowHost) {
+  // One worker count and one backend, resolved from the host, behind
+  // every terminator config.
+  const DriverConfig drv;
+  const BatchDecryptConfig bd;
+  EXPECT_EQ(drv.batch_dispatch_threads, util::usable_cpus());
+  EXPECT_EQ(bd.dispatch_threads, util::usable_cpus());
+  EXPECT_EQ(drv.batch_backend, rsa::default_backend());
+  EXPECT_EQ(bd.backend, rsa::default_backend());
 }
 
 TEST(Driver, CompletesAllHandshakes) {

@@ -20,6 +20,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -31,6 +32,7 @@
 #include "ssl/async/transport.hpp"
 #include "ssl/async/wire.hpp"
 #include "ssl/driver.hpp"
+#include "util/cpu.hpp"
 
 namespace phissl::ssl::async {
 namespace {
@@ -260,12 +262,11 @@ TEST(AsyncSocketTest, ProtocolFailureAlertsThenFinsCleanly) {
   EXPECT_EQ(frontend.transport_stats().resets, 0u);
 }
 
-TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {
-  // The full socket driver path — epoll frontend plus the in-process
-  // client fleet — at enough volume that slots recycle many times and
-  // resumed handshakes interleave with full ones. No wall-clock
-  // assertions, so the TSan leg can run it under instrumentation.
-  const rsa::Engine engine(rsa::test_key(512), test_opts());
+/// The full socket driver path — epoll frontend plus the in-process
+/// client fleet — at enough volume that slots recycle many times and
+/// resumed handshakes interleave with full ones. No wall-clock
+/// assertions, so the TSan leg can run it under instrumentation.
+DriverConfig churn_config() {
   DriverConfig cfg;
   cfg.frontend = Frontend::kSocket;
   cfg.num_handshakes = 512;
@@ -273,6 +274,15 @@ TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {
   cfg.max_open_connections = 128;
   cfg.socket_clients = 64;
   cfg.resumption_ratio = 0.5;
+  return cfg;
+}
+
+TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {
+  const rsa::Engine engine(rsa::test_key(512), test_opts());
+  DriverConfig cfg = churn_config();
+  // One dispatch worker, so the private ops outrun it and the batched
+  // path runs under the churn too.
+  cfg.batch_dispatch_threads = 1;
   const DriverReport r = run_handshakes(engine, cfg);
 
   EXPECT_EQ(r.completed, 512u);
@@ -281,6 +291,26 @@ TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {
   EXPECT_EQ(r.accepts, 512u);
   EXPECT_GT(r.resumed, 0u);
   EXPECT_GT(r.batches, 0u);
+}
+
+TEST(AsyncSocketChurn, Churn512ConnectionsAtDefaultDispatch) {
+  // The shipped dispatch pool, one worker per usable CPU. Whether the
+  // service batches or keeps up on its scalar path depends on the host's
+  // speed, so the check is that every full handshake's private op ran
+  // exactly once, on one path or the other.
+  const rsa::Engine engine(rsa::test_key(512), test_opts());
+  const DriverConfig cfg = churn_config();
+  ASSERT_EQ(cfg.batch_dispatch_threads, util::usable_cpus());
+  const DriverReport r = run_handshakes(engine, cfg);
+
+  EXPECT_EQ(r.completed, 512u);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.accepts, 512u);
+  EXPECT_GT(r.resumed, 0u);
+  const auto batched_lanes = static_cast<std::uint64_t>(std::llround(
+      r.batch_lane_occupancy * static_cast<double>(r.batches * 16)));
+  EXPECT_EQ(batched_lanes + r.scalar_ops, r.completed - r.resumed);
 }
 
 }  // namespace

@@ -1,16 +1,26 @@
-// Unit tests for src/util: PRNG determinism, hex codec, stats, thread pool.
+// Unit tests for src/util: PRNG determinism, hex codec, stats, thread pool,
+// CPU probes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "util/cpu.hpp"
 #include "util/hex.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -188,6 +198,118 @@ TEST(ThreadPool, ParallelForChunksAreContiguousAndDisjoint) {
 TEST(ThreadPool, ParallelForEmpty) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t, std::size_t) { FAIL(); });
+}
+
+/// Runs `k` tasks on `pool` that each wait until all `k` have started,
+/// and returns the thread ids they ran on. Only k distinct workers can
+/// get every task past the rendezvous; a pool that parked one task behind
+/// another would time out instead (the test then fails, it does not hang).
+std::vector<std::thread::id> rendezvous(ThreadPool& pool, std::size_t k) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::vector<std::thread::id> ids;
+  std::vector<std::future<void>> futs;
+  for (std::size_t i = 0; i < k; ++i) {
+    futs.push_back(pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ids.push_back(std::this_thread::get_id());
+      ++arrived;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(20),
+                       [&] { return arrived == k; })) {
+        throw std::runtime_error("rendezvous timed out");
+      }
+    }));
+  }
+  for (auto& f : futs) f.get();
+  return ids;
+}
+
+TEST(ThreadPool, ConcurrentTasksRunOnDistinctWorkers) {
+  ThreadPool pool(4);
+  for (std::size_t k = 1; k <= pool.size(); ++k) {
+    const std::vector<std::thread::id> ids = rendezvous(pool, k);
+    EXPECT_EQ(std::set<std::thread::id>(ids.begin(), ids.end()).size(), k);
+  }
+}
+
+TEST(ThreadPool, TaskExceptionReachesItsFuture) {
+  ThreadPool pool(2);
+  std::future<void> bad =
+      pool.submit([] { throw std::invalid_argument("task failed"); });
+  EXPECT_THROW(bad.get(), std::invalid_argument);
+  std::atomic<int> c{0};
+  pool.submit([&c] { c = 1; }).get();  // the worker survived the throw
+  EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ThreadPool, ShutdownDrainsBlockedBacklogThenRejects) {
+  // Drain-then-reject with every worker busy and a backlog queued behind
+  // them: shutdown() (here from another thread, while the workers are
+  // still blocked) must run the whole backlog before joining, and submit()
+  // must throw once the drain has begun.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<int> ran{0};
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 2; ++i) {
+    futs.push_back(pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return open; });
+      ran++;
+    }));
+  }
+  for (int i = 0; i < 30; ++i) futs.push_back(pool.submit([&ran] { ran++; }));
+  std::thread stopper([&pool] { pool.shutdown(); });
+  // submit() rejects as soon as the drain has begun, even with work queued.
+  bool rejected = false;
+  while (!rejected) {
+    try {
+      (void)pool.submit([] {});
+      std::this_thread::yield();
+    } catch (const std::runtime_error&) {
+      rejected = true;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  stopper.join();
+  for (auto& f : futs) f.get();
+  EXPECT_GE(ran.load(), 32);  // plus any probe tasks accepted before the drain
+  EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
+}
+
+TEST(CpuProbe, UsableCpusWithinAffinityMask) {
+  const std::size_t n = usable_cpus();
+  EXPECT_GE(n, 1u);
+  EXPECT_EQ(usable_cpus(), n);  // cached
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    EXPECT_LE(n, static_cast<std::size_t>(CPU_COUNT(&set)));
+  }
+#endif
+}
+
+TEST(CpuProbe, CpuMaxQuotaRoundsUp) {
+  EXPECT_EQ(cpus_from_cpu_max("200000 100000"), 2u);
+  EXPECT_EQ(cpus_from_cpu_max("150000 100000\n"), 2u);
+  EXPECT_EQ(cpus_from_cpu_max("50000 100000"), 1u);
+  EXPECT_EQ(cpus_from_cpu_max("1 100000"), 1u);
+  EXPECT_FALSE(cpus_from_cpu_max("max 100000").has_value());
+  EXPECT_FALSE(cpus_from_cpu_max("-1 100000").has_value());
+  EXPECT_FALSE(cpus_from_cpu_max("max").has_value());
+  EXPECT_FALSE(cpus_from_cpu_max("").has_value());
+  EXPECT_FALSE(cpus_from_cpu_max("0 100000").has_value());
+  EXPECT_FALSE(cpus_from_cpu_max("100000 0").has_value());
+  EXPECT_FALSE(cpus_from_cpu_max("12x 100000").has_value());
 }
 
 TEST(ThreadPool, ZeroThreadsClampedToOne) {
